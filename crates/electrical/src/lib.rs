@@ -31,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+mod bits;
 pub mod config;
 pub mod islip;
 pub mod network;

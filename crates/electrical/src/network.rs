@@ -11,6 +11,7 @@
 //! processor one cycle after arrival. Broadcasts use pre-installed VCTM
 //! trees ([`crate::vctm`]).
 
+use crate::bits::{low_bits, rotated, Bits};
 use crate::config::ElectricalConfig;
 use crate::islip::Islip;
 use crate::power::EnergyLedger;
@@ -62,7 +63,9 @@ struct Branch {
 #[derive(Debug, Clone)]
 struct Flit {
     core: Core,
-    route: Route,
+    /// Unicast destination; `None` for a VCTM tree flit, whose targets
+    /// ride on its branches.
+    dest: Option<NodeId>,
     in_port: Port,
     eligible_at: u64,
     branches: Vec<Branch>,
@@ -74,36 +77,94 @@ impl Flit {
     fn finished(&self) -> bool {
         self.eject_at.is_none() && self.branches.iter().all(|b| b.done)
     }
+
+    /// The branch toward `dir`; a flit forks at most one branch per
+    /// direction (unicast flits have one, VCTM trees one per subtree).
+    fn branch_mut(&mut self, dir: Direction) -> &mut Branch {
+        self.branches
+            .iter_mut()
+            .find(|b| b.out == dir)
+            .expect("flit has a branch toward the requested output")
+    }
 }
 
 /// Per-router state.
+///
+/// A router's input VCs live in the network's flat slot arena, slot
+/// `port * V + vc` of the router's `5 * V` (`V` = VCs per port). Bit `s`
+/// of every slot mask below refers to that slot. The masks change only
+/// at the four slot transitions — land (arrival or injection), VC grant,
+/// send or eject, and free — so each phase walks exactly the slots it
+/// acts on.
 #[derive(Debug)]
 struct Router {
-    /// `vcs[port][vc]`.
-    vcs: Vec<Vec<Option<Flit>>>,
-    /// `credits[dir][vc]`: a free slot at the downstream input port.
-    credits: Vec<Vec<bool>>,
-    /// VC-allocator rotation per output direction (flattened port*V+vc).
-    va_ptr: Vec<usize>,
+    /// Occupied slots.
+    occupied: u64,
+    /// Occupied slots not yet promoted to eligible: their flit's
+    /// pipeline delay had not elapsed at the last VC-allocation phase.
+    waiting: u64,
+    /// `va_req[d]`: slots whose eligible flit has a branch toward output
+    /// `d` still waiting for a downstream VC.
+    va_req: [u64; 4],
+    /// `sa_req[d]`: slots whose flit holds a downstream VC toward output
+    /// `d` for a branch not yet sent.
+    sa_req: [u64; 4],
+    /// Slots whose flit has a local delivery pending.
+    eject: u64,
+    /// Slots whose flit is finished: no delivery pending, every branch
+    /// sent.
+    finished: u64,
+    /// `credits[d]`: bit `vc` is set while downstream VC `vc` across
+    /// output `d` is free.
+    credits: [u64; 4],
+    /// VC-allocator rotation per output direction (a slot index).
+    va_ptr: [usize; 4],
     /// Switch allocator state (5 inputs x 4 outputs).
     sa: Islip,
     /// Round-robin VC selector per (input port, output dir).
-    vc_sel: Vec<Vec<usize>>,
-    /// Number of occupied VCs (fast-path: idle routers skip every phase).
-    occupied: usize,
+    vc_sel: [[usize; 4]; 5],
 }
 
 impl Router {
     fn new(cfg: &ElectricalConfig) -> Self {
-        let v = cfg.vcs_per_port;
         Router {
-            vcs: (0..5).map(|_| vec![None; v]).collect(),
-            credits: (0..4).map(|_| vec![true; v]).collect(),
-            va_ptr: vec![0; 4],
-            sa: Islip::new(5, 4),
-            vc_sel: (0..5).map(|_| vec![0; 4]).collect(),
             occupied: 0,
+            waiting: 0,
+            va_req: [0; 4],
+            sa_req: [0; 4],
+            eject: 0,
+            finished: 0,
+            credits: [low_bits(cfg.vcs_per_port); 4],
+            va_ptr: [0; 4],
+            sa: Islip::new(5, 4),
+            vc_sel: [[0; 4]; 5],
         }
+    }
+
+    /// Marks slot `s` as holding `flit`, which just landed.
+    fn land(&mut self, s: usize, flit: &Flit) {
+        let bit = 1 << s;
+        self.occupied |= bit;
+        self.waiting |= bit;
+        if flit.eject_at.is_some() {
+            self.eject |= bit;
+        }
+        if flit.finished() {
+            self.finished |= bit;
+        }
+    }
+
+    /// Clears slot `s` from every mask.
+    fn vacate(&mut self, s: usize) {
+        let keep = !(1 << s);
+        self.occupied &= keep;
+        self.waiting &= keep;
+        for d in 0..4 {
+            self.va_req[d] &= keep;
+            self.sa_req[d] &= keep;
+        }
+        self.eject &= keep;
+        self.finished &= keep;
     }
 }
 
@@ -130,6 +191,11 @@ pub struct ElectricalNetwork {
     cfg: ElectricalConfig,
     cycle: u64,
     routers: Vec<Router>,
+    /// Input-VC slot arena: router `r`'s slot `s` is entry
+    /// `r * 5 * V + s` (see [`Router`]).
+    slots: Vec<Option<Flit>>,
+    /// Switch-allocator match buffer, reused every cycle.
+    sa_matches: Vec<(usize, usize)>,
     nics: Vec<Nic<(Core, Route)>>,
     incoming: Vec<Arrival>,
     credit_returns: Vec<CreditReturn>,
@@ -162,20 +228,34 @@ const STALL_ABANDON_CYCLES: u64 = 2_000;
 
 impl ElectricalNetwork {
     /// Builds a network from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `entries_per_vc` is 1, or if `5 * vcs_per_port`
+    /// exceeds 64 (a router's input VCs are tracked in 64-bit masks).
     pub fn new(cfg: ElectricalConfig) -> Self {
         assert_eq!(
             cfg.entries_per_vc, 1,
             "this model implements the paper's 1-entry-per-VC configuration"
         );
+        assert!(
+            5 * cfg.vcs_per_port <= 64,
+            "vcs_per_port = {} is too many: a router tracks its 5 x vcs_per_port \
+             input VCs in 64-bit masks, so at most 12 VCs per port are supported",
+            cfg.vcs_per_port
+        );
         let mesh = cfg.mesh;
         let nodes = cfg.mesh.nodes();
         let routers = (0..nodes).map(|_| Router::new(&cfg)).collect();
+        let slots = (0..nodes * 5 * cfg.vcs_per_port).map(|_| None).collect();
         let nics = (0..nodes).map(|_| Nic::new(cfg.nic_entries)).collect();
         let energy = EnergyLedger::new(nodes);
         ElectricalNetwork {
             cfg,
             cycle: 0,
             routers,
+            slots,
+            sa_matches: Vec::new(),
             nics,
             incoming: Vec::new(),
             credit_returns: Vec::new(),
@@ -254,7 +334,10 @@ impl ElectricalNetwork {
         };
         Flit {
             core,
-            route,
+            dest: match route {
+                Route::Unicast(dest) => Some(dest),
+                Route::Tree(_) => None,
+            },
             in_port,
             eligible_at: now + self.cfg.router_delay,
             branches,
@@ -328,7 +411,7 @@ impl ElectricalNetwork {
     pub fn occupied_vcs(&self) -> usize {
         self.routers
             .iter()
-            .map(|r| r.vcs.iter().flatten().filter(|s| s.is_some()).count())
+            .map(|r| r.occupied.count_ones() as usize)
             .sum()
     }
 }
@@ -398,6 +481,8 @@ impl Network for ElectricalNetwork {
         let now = self.cycle;
         let mesh = self.cfg.mesh;
         let vcs_per_port = self.cfg.vcs_per_port;
+        let per_router = 5 * vcs_per_port;
+        let port_vcs = low_bits(vcs_per_port);
         self.profiler.begin_cycle();
         let delivered_before = self.deliveries.len();
 
@@ -419,53 +504,58 @@ impl Network for ElectricalNetwork {
         // Phase 1: credits return.
         self.profiler
             .add_work(Phase::Drain, self.credit_returns.len() as u64);
-        for cr in std::mem::take(&mut self.credit_returns) {
-            debug_assert!(!self.routers[cr.router].credits[cr.dir][cr.vc]);
-            self.routers[cr.router].credits[cr.dir][cr.vc] = true;
+        for cr in self.credit_returns.drain(..) {
+            let credits = &mut self.routers[cr.router].credits[cr.dir];
+            debug_assert!(*credits >> cr.vc & 1 == 0, "credit returned twice");
+            *credits |= 1 << cr.vc;
         }
 
         // Phase 2: link arrivals land in their reserved VCs.
-        for a in std::mem::take(&mut self.incoming) {
-            let r = &mut self.routers[a.router];
-            let slot = &mut r.vcs[a.port][a.vc];
+        for a in self.incoming.drain(..) {
+            let s = a.port * vcs_per_port + a.vc;
+            let slot = &mut self.slots[a.router * per_router + s];
             debug_assert!(slot.is_none(), "reserved VC occupied");
             self.energy.on_buffer_write();
+            self.routers[a.router].land(s, &a.flit);
             *slot = Some(a.flit);
-            r.occupied += 1;
         }
         self.profiler.mark(Phase::Drain);
 
         // Phase 3: ejection bypass — deliver flits one cycle after
         // arrival, without the crossbar.
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
+            let pending = self.routers[r_idx].eject;
+            if pending == 0 {
                 continue;
             }
             let here = NodeId(r_idx as u16);
             if fault_active && self.fault_plan.router_stuck(now, here) {
                 continue; // a stuck router cannot even eject
             }
-            for port in 0..5 {
-                for vc in 0..vcs_per_port {
-                    if let Some(flit) = self.routers[r_idx].vcs[port][vc].as_mut() {
-                        if let Some(t) = flit.eject_at {
-                            if t <= now {
-                                flit.eject_at = None;
-                                let core = flit.core;
-                                self.energy.on_buffer_read();
-                                Self::deliver(
-                                    &mut self.outstanding,
-                                    &mut self.deliveries,
-                                    &mut self.stats,
-                                    &mut self.obs,
-                                    core,
-                                    here,
-                                    now,
-                                );
-                            }
-                        }
-                    }
+            for s in Bits(pending) {
+                let flit = self.slots[r_idx * per_router + s]
+                    .as_mut()
+                    .expect("eject bit marks an occupied slot");
+                if flit.eject_at.expect("eject bit marks a pending delivery") > now {
+                    continue;
                 }
+                flit.eject_at = None;
+                let core = flit.core;
+                let r = &mut self.routers[r_idx];
+                r.eject &= !(1 << s);
+                if flit.finished() {
+                    r.finished |= 1 << s;
+                }
+                self.energy.on_buffer_read();
+                Self::deliver(
+                    &mut self.outstanding,
+                    &mut self.deliveries,
+                    &mut self.stats,
+                    &mut self.obs,
+                    core,
+                    here,
+                    now,
+                );
             }
         }
 
@@ -478,9 +568,9 @@ impl Network for ElectricalNetwork {
         // Phase 4: injection — one flit per node per cycle into a free
         // local-port VC.
         let mut route_work = 0u64;
+        let local_base = Port::Local.index() * vcs_per_port;
         for r_idx in 0..self.routers.len() {
             let here = NodeId(r_idx as u16);
-            let local = Port::Local.index();
             if self.nics[r_idx].is_empty() {
                 continue;
             }
@@ -524,10 +614,11 @@ impl Network for ElectricalNetwork {
                 }
                 continue;
             }
-            let Some(vc) = (0..vcs_per_port).find(|&v| self.routers[r_idx].vcs[local][v].is_none())
-            else {
+            let free = !(self.routers[r_idx].occupied >> local_base) & port_vcs;
+            if free == 0 {
                 continue;
-            };
+            }
+            let s = local_base + free.trailing_zeros() as usize;
             let (core, route) = self.nics[r_idx].pop().expect("checked non-empty");
             let mut flit = self.make_flit(here, core, route, Port::Local, now);
             if let Route::Tree(_) = route {
@@ -538,8 +629,8 @@ impl Network for ElectricalNetwork {
                 }
             }
             self.energy.on_buffer_write();
-            self.routers[r_idx].vcs[local][vc] = Some(flit);
-            self.routers[r_idx].occupied += 1;
+            self.routers[r_idx].land(s, &flit);
+            self.slots[r_idx * per_router + s] = Some(flit);
             route_work += 1;
         }
         self.profiler.add_work(Phase::Route, route_work);
@@ -549,63 +640,50 @@ impl Network for ElectricalNetwork {
         // branches, round-robin per output direction.
         let mut arb_work = 0u64;
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
+            let r = &mut self.routers[r_idx];
+            if r.occupied == 0 {
                 continue;
+            }
+            let here = NodeId(r_idx as u16);
+            let base = r_idx * per_router;
+            // Promote flits whose pipeline delay has elapsed: every
+            // branch of a newly eligible flit requests a VC.
+            for s in Bits(r.waiting) {
+                let flit = self.slots[base + s]
+                    .as_ref()
+                    .expect("waiting slot is occupied");
+                if flit.eligible_at <= now {
+                    r.waiting &= !(1 << s);
+                    for b in &flit.branches {
+                        r.va_req[Port::Dir(b.out).index()] |= 1 << s;
+                    }
+                }
             }
             for dir in Direction::ALL {
                 let d = Port::Dir(dir).index();
-                if mesh.neighbor(NodeId(r_idx as u16), dir).is_none() {
+                let requesters = r.va_req[d];
+                if requesters == 0 || mesh.neighbor(here, dir).is_none() {
                     continue;
                 }
-                if fault_active
-                    && self
-                        .fault_plan
-                        .blocked(now, mesh, NodeId(r_idx as u16), dir)
-                {
+                if fault_active && self.fault_plan.blocked(now, mesh, here, dir) {
                     continue; // never grant VCs across a faulted link
                 }
-                // Gather requesters (port, vc, branch index) in flattened
-                // order.
-                let mut requesters: Vec<(usize, usize, usize)> = Vec::new();
-                for port in 0..5 {
-                    for vc in 0..vcs_per_port {
-                        if let Some(f) = self.routers[r_idx].vcs[port][vc].as_ref() {
-                            if f.eligible_at > now {
-                                continue;
-                            }
-                            for (bi, b) in f.branches.iter().enumerate() {
-                                if b.out == dir && b.out_vc.is_none() && !b.done {
-                                    requesters.push((port, vc, bi));
-                                }
-                            }
-                        }
-                    }
-                }
-                if requesters.is_empty() {
-                    continue;
-                }
-                // Rotate requesters to start at the VA pointer.
-                let ptr = self.routers[r_idx].va_ptr[d];
-                let split = requesters
-                    .iter()
-                    .position(|&(p, v, _)| p * vcs_per_port + v >= ptr)
-                    .unwrap_or(0);
-                requesters.rotate_left(split);
-
-                let mut free_vcs: Vec<usize> = (0..vcs_per_port)
-                    .filter(|&v| self.routers[r_idx].credits[d][v])
-                    .collect();
-                free_vcs.reverse(); // pop() yields ascending order
-                for (port, vc, bi) in requesters {
-                    let Some(out_vc) = free_vcs.pop() else { break };
-                    self.routers[r_idx].credits[d][out_vc] = false;
-                    let f = self.routers[r_idx].vcs[port][vc]
+                // Requesters in slot order rotated to start at the VA
+                // pointer; free VCs in ascending order.
+                let mut free_vcs = Bits(r.credits[d]);
+                for s in rotated(requesters, r.va_ptr[d]) {
+                    let Some(out_vc) = free_vcs.next() else { break };
+                    r.credits[d] &= !(1 << out_vc);
+                    r.va_req[d] &= !(1 << s);
+                    r.sa_req[d] |= 1 << s;
+                    let b = self.slots[base + s]
                         .as_mut()
-                        .expect("requester exists");
-                    f.branches[bi].out_vc = Some(out_vc);
+                        .expect("requester exists")
+                        .branch_mut(dir);
+                    b.out_vc = Some(out_vc);
                     self.energy.on_allocation();
                     arb_work += 1;
-                    self.routers[r_idx].va_ptr[d] = port * vcs_per_port + vc + 1;
+                    r.va_ptr[d] = s + 1;
                 }
             }
         }
@@ -613,65 +691,69 @@ impl Network for ElectricalNetwork {
         self.profiler.mark(Phase::Arbitrate);
 
         // Phase 6: switch allocation (iSLIP) and traversal.
+        let mut matches = std::mem::take(&mut self.sa_matches);
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
+            let r = &mut self.routers[r_idx];
+            if r.sa_req == [0; 4] {
                 continue;
             }
             let here = NodeId(r_idx as u16);
             if fault_active && self.fault_plan.router_stuck(now, here) {
                 continue; // nothing moves through a stuck router
             }
-            // Candidate branch per (input port, output dir), chosen
-            // round-robin over VCs.
-            let mut candidate: [[Option<(usize, usize)>; 4]; 5] = Default::default();
-            let mut requests: Vec<Vec<usize>> = vec![Vec::new(); 5];
-            for port in 0..5 {
-                for dir in Direction::ALL {
-                    let d = Port::Dir(dir).index();
-                    if fault_active && self.fault_plan.blocked(now, mesh, here, dir) {
-                        continue; // granted VCs across a now-dead link wait
-                    }
-                    let sel = self.routers[r_idx].vc_sel[port][d];
-                    for k in 0..vcs_per_port {
-                        let vc = (sel + k) % vcs_per_port;
-                        let Some(f) = self.routers[r_idx].vcs[port][vc].as_ref() else {
-                            continue;
-                        };
-                        if f.eligible_at > now {
-                            continue;
-                        }
-                        if let Some(bi) = f
-                            .branches
-                            .iter()
-                            .position(|b| b.out == dir && b.out_vc.is_some() && !b.done)
-                        {
-                            candidate[port][d] = Some((vc, bi));
-                            requests[port].push(d);
-                            break;
-                        }
+            let base = r_idx * per_router;
+            // Candidate VC per (input port, output dir), chosen
+            // round-robin over the port's VCs.
+            let mut candidate = [[0usize; 4]; 5];
+            let mut requests = [0u32; 5];
+            for dir in Direction::ALL {
+                let d = Port::Dir(dir).index();
+                if r.sa_req[d] == 0 {
+                    continue;
+                }
+                if fault_active && self.fault_plan.blocked(now, mesh, here, dir) {
+                    continue; // granted VCs across a now-dead link wait
+                }
+                for port in 0..5 {
+                    let ready = r.sa_req[d] >> (port * vcs_per_port) & port_vcs;
+                    if let Some(vc) = rotated(ready, r.vc_sel[port][d]).next() {
+                        candidate[port][d] = vc;
+                        requests[port] |= 1 << d;
                     }
                 }
             }
-            let matches = {
-                let r = &mut self.routers[r_idx];
-                r.sa.allocate(&requests, self.cfg.input_speedup, self.cfg.islip_iterations)
-            };
-            for (port, d) in matches {
-                let (vc, bi) = candidate[port][d].expect("matched request had a candidate");
+            r.sa.allocate(
+                &requests,
+                self.cfg.input_speedup,
+                self.cfg.islip_iterations,
+                &mut matches,
+            );
+            for &(port, d) in &matches {
+                let vc = candidate[port][d];
+                let s = port * vcs_per_port + vc;
                 let dir = match Port::ALL[d] {
                     Port::Dir(dir) => dir,
                     Port::Local => unreachable!("outputs are directions"),
                 };
                 let next = mesh.neighbor(here, dir).expect("VA only grants real links");
-                let (core, route_mask, out_vc) = {
-                    let f = self.routers[r_idx].vcs[port][vc]
-                        .as_mut()
-                        .expect("candidate flit exists");
-                    let b = &mut f.branches[bi];
-                    let out_vc = b.out_vc.expect("SA requires an allocated VC");
-                    b.done = true;
-                    (f.core, b.mask, out_vc)
+                let f = self.slots[base + s]
+                    .as_mut()
+                    .expect("candidate flit exists");
+                let dest = f.dest;
+                let b = f.branch_mut(dir);
+                let out_vc = b.out_vc.expect("SA requires an allocated VC");
+                b.done = true;
+                let route = match dest {
+                    Some(dest) => Route::Unicast(dest),
+                    None => Route::Tree(b.mask),
                 };
+                let core = f.core;
+                let r = &mut self.routers[r_idx];
+                r.sa_req[d] &= !(1 << s);
+                if f.finished() {
+                    r.finished |= 1 << s;
+                }
+                r.vc_sel[port][d] = (vc + 1) % vcs_per_port;
                 self.energy.on_allocation();
                 self.energy.on_buffer_read();
                 self.energy.on_crossbar();
@@ -684,15 +766,6 @@ impl Network for ElectricalNetwork {
                     Some(dir),
                     Some(core.id),
                 );
-                self.routers[r_idx].vc_sel[port][d] = (vc + 1) % vcs_per_port;
-                let route = if route_mask.is_empty() {
-                    match self.routers[r_idx].vcs[port][vc].as_ref().unwrap().route {
-                        Route::Unicast(dest) => Route::Unicast(dest),
-                        Route::Tree(_) => unreachable!("tree branches carry masks"),
-                    }
-                } else {
-                    Route::Tree(route_mask)
-                };
                 let in_port = Port::Dir(dir.opposite());
                 let flit = self.make_flit(next, core, route, in_port, now + 1);
                 self.incoming.push(Arrival {
@@ -703,104 +776,104 @@ impl Network for ElectricalNetwork {
                 });
             }
         }
+        self.sa_matches = matches;
 
         // Link traversals this cycle = arrivals queued for the next one.
         self.profiler
             .add_work(Phase::Traverse, self.incoming.len() as u64);
         self.profiler.mark(Phase::Traverse);
 
-        // Phase 7: free finished VCs and send credits upstream.
+        // Phase 7: free finished VCs and send credits upstream. With a
+        // fault plan every occupied VC is also checked for stall-abandon.
         for r_idx in 0..self.routers.len() {
-            if self.routers[r_idx].occupied == 0 {
+            let r = &self.routers[r_idx];
+            let candidates = if fault_active { r.occupied } else { r.finished };
+            if candidates == 0 {
                 continue;
             }
             let here = NodeId(r_idx as u16);
-            for port in 0..5 {
-                for vc in 0..vcs_per_port {
-                    let (finished, abandon) = match self.routers[r_idx].vcs[port][vc].as_ref() {
-                        None => (false, false),
-                        Some(f) => (
-                            f.finished(),
-                            fault_active
-                                && now.saturating_sub(f.eligible_at) > STALL_ABANDON_CYCLES,
-                        ),
-                    };
-                    if !finished && !abandon {
-                        continue;
-                    }
-                    let flit = self.routers[r_idx].vcs[port][vc].take().expect("checked");
-                    self.routers[r_idx].occupied -= 1;
-                    if abandon && !finished {
-                        // Stall-abandon: a fault plan is active and this
-                        // flit has been unserviceable for far longer than
-                        // congestion alone could explain. Its remaining
-                        // targets are terminally undeliverable; reserved
-                        // downstream VCs are released so the fabric around
-                        // the fault keeps flowing.
-                        self.stats.retry_exhausted += 1;
-                        for b in &flit.branches {
-                            if !b.done {
-                                if let Some(ovc) = b.out_vc {
-                                    let d = Port::Dir(b.out).index();
-                                    self.routers[r_idx].credits[d][ovc] = true;
-                                }
+            let base = r_idx * per_router;
+            for s in Bits(candidates) {
+                let finished = self.routers[r_idx].finished >> s & 1 == 1;
+                let abandon = fault_active && {
+                    let f = self.slots[base + s].as_ref().expect("occupied slot");
+                    now.saturating_sub(f.eligible_at) > STALL_ABANDON_CYCLES
+                };
+                if !finished && !abandon {
+                    continue;
+                }
+                let flit = self.slots[base + s].take().expect("checked");
+                self.routers[r_idx].vacate(s);
+                if abandon && !finished {
+                    // Stall-abandon: a fault plan is active and this
+                    // flit has been unserviceable for far longer than
+                    // congestion alone could explain. Its remaining
+                    // targets are terminally undeliverable; reserved
+                    // downstream VCs are released so the fabric around
+                    // the fault keeps flowing.
+                    self.stats.retry_exhausted += 1;
+                    for b in &flit.branches {
+                        if !b.done {
+                            if let Some(ovc) = b.out_vc {
+                                let d = Port::Dir(b.out).index();
+                                self.routers[r_idx].credits[d] |= 1 << ovc;
                             }
                         }
-                        if flit.eject_at.is_some() {
-                            Self::record_failure(
+                    }
+                    if flit.eject_at.is_some() {
+                        Self::record_failure(
+                            &mut self.outstanding,
+                            &mut self.failures,
+                            &mut self.stats,
+                            &mut self.obs,
+                            flit.core,
+                            here,
+                            here,
+                            now,
+                        );
+                    }
+                    for b in &flit.branches {
+                        if b.done {
+                            continue;
+                        }
+                        match flit.dest {
+                            Some(dest) => Self::record_failure(
                                 &mut self.outstanding,
                                 &mut self.failures,
                                 &mut self.stats,
                                 &mut self.obs,
                                 flit.core,
-                                here,
+                                dest,
                                 here,
                                 now,
-                            );
-                        }
-                        for b in &flit.branches {
-                            if b.done {
-                                continue;
-                            }
-                            match flit.route {
-                                Route::Unicast(dest) => Self::record_failure(
-                                    &mut self.outstanding,
-                                    &mut self.failures,
-                                    &mut self.stats,
-                                    &mut self.obs,
-                                    flit.core,
-                                    dest,
-                                    here,
-                                    now,
-                                ),
-                                Route::Tree(_) => {
-                                    for t in b.mask.iter() {
-                                        Self::record_failure(
-                                            &mut self.outstanding,
-                                            &mut self.failures,
-                                            &mut self.stats,
-                                            &mut self.obs,
-                                            flit.core,
-                                            t,
-                                            here,
-                                            now,
-                                        );
-                                    }
+                            ),
+                            None => {
+                                for t in b.mask.iter() {
+                                    Self::record_failure(
+                                        &mut self.outstanding,
+                                        &mut self.failures,
+                                        &mut self.stats,
+                                        &mut self.obs,
+                                        flit.core,
+                                        t,
+                                        here,
+                                        now,
+                                    );
                                 }
                             }
                         }
                     }
-                    if let Port::Dir(in_dir) = flit.in_port {
-                        let upstream = mesh
-                            .neighbor(here, in_dir)
-                            .expect("flit arrived over a real link");
-                        let up_out = Port::Dir(in_dir.opposite()).index();
-                        self.credit_returns.push(CreditReturn {
-                            router: upstream.index(),
-                            dir: up_out,
-                            vc,
-                        });
-                    }
+                }
+                if let Port::Dir(in_dir) = flit.in_port {
+                    let upstream = mesh
+                        .neighbor(here, in_dir)
+                        .expect("flit arrived over a real link");
+                    let up_out = Port::Dir(in_dir.opposite()).index();
+                    self.credit_returns.push(CreditReturn {
+                        router: upstream.index(),
+                        dir: up_out,
+                        vc: s % vcs_per_port,
+                    });
                 }
             }
         }

@@ -172,3 +172,27 @@ fn self_send_delivers_immediately() {
     assert_eq!(d[0].packet, id);
     assert_eq!(d[0].latency(), 0);
 }
+
+#[test]
+#[should_panic(expected = "at most 12 VCs per port")]
+fn vc_count_beyond_the_slot_masks_is_rejected() {
+    // 5 ports x 13 VCs = 65 slots: one more than a 64-bit slot mask.
+    let mut cfg = ElectricalConfig::electrical3();
+    cfg.vcs_per_port = 13;
+    let _ = ElectricalNetwork::new(cfg);
+}
+
+#[test]
+fn twelve_vcs_per_port_fill_the_slot_masks_and_still_route() {
+    let mut cfg = ElectricalConfig::electrical3();
+    cfg.vcs_per_port = 12;
+    let mut net = ElectricalNetwork::new(cfg);
+    // 5 x 12 = 60 slots, the widest configuration the masks allow.
+    for i in 0..12u16 {
+        net.inject(NewPacket::unicast(NodeId(0), NodeId(63 - i)))
+            .unwrap();
+    }
+    run_until_idle(&mut net, 2_000);
+    assert_eq!(net.drain_deliveries().len(), 12);
+    assert_eq!(net.occupied_vcs(), 0);
+}

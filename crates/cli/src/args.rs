@@ -146,9 +146,13 @@ impl Parsed {
     }
 
     /// Whether a boolean flag was given.
-    #[allow(dead_code)] // exercised by tests; available for new subcommands
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
+    }
+
+    /// Whether `--help` or `-h` appears anywhere on the line.
+    pub fn wants_help(&self) -> bool {
+        self.flag("help") || self.positionals.iter().any(|w| w == "-h")
     }
 }
 

@@ -1052,6 +1052,10 @@ event kinds: inject nic_retry optical_transit link_traversal
 ///
 /// Propagates errors from the subcommands.
 pub fn dispatch(p: &Parsed) -> Result<String, ArgError> {
+    // `--help` / `-h` on any subcommand prints the usage and runs nothing.
+    if p.wants_help() {
+        return Ok(usage().to_string());
+    }
     match p.positional(0) {
         Some("simulate") => cmd_simulate(p),
         Some("compare") => cmd_compare(p),
@@ -1287,5 +1291,11 @@ mod tests {
         assert!(dispatch(&parsed(&[])).unwrap().contains("USAGE"));
         assert!(dispatch(&parsed(&["help"])).unwrap().contains("USAGE"));
         assert!(dispatch(&parsed(&["frobnicate"])).is_err());
+        assert!(dispatch(&parsed(&["frobnicate", "--help"]))
+            .unwrap()
+            .contains("USAGE"));
+        assert!(dispatch(&parsed(&["lab", "run", "-h"]))
+            .unwrap()
+            .contains("USAGE"));
     }
 }
